@@ -9,7 +9,7 @@ GO ?= go
 # below it.
 COVER_FLOOR ?= 70
 
-.PHONY: all build test vet race ci chaos chaos-matrix mega-smoke scale-smoke bench bench-parallel bench-rollout cover bench-ci bench-guard bench-nightly bench-mutex bench-heap svc-smoke svc-bench
+.PHONY: all build test vet race ci chaos chaos-matrix mega-smoke scale-smoke bench bench-parallel bench-rollout cover bench-ci bench-guard bench-nightly bench-mutex bench-heap svc-smoke svc-bench perfbench-smoke
 
 # Scenario matrix for `make chaos`: every topology shape the scenario
 # library knows, each run under the full chaos matrix.
@@ -24,9 +24,10 @@ MEGA_AGENTS ?= 1000
 # committed baseline: the 1k-domain worker-sweep endpoints, the warm-
 # cache incremental re-check (bare, and with the change-contract
 # pre-gate on top), the paper-scale 10k-domain cold check (serial and
-# 1/8-worker parallel), and the mega-fleet agent path (one in-memory
-# round-trip, and a 512-agent fleet install).
-GUARDED_BENCH = ^(BenchmarkCheckParallel1|BenchmarkCheckParallel8|BenchmarkCheckWarmCache|BenchmarkChangeContractCheck|BenchmarkCheckDomains10000|BenchmarkCheckParallel10k1|BenchmarkCheckParallel10k8|BenchmarkMemAgentRoundTrip|BenchmarkMegaFleetInstall)$$
+# 1/8-worker parallel), configuration generation for the same 10k
+# domains, and the mega-fleet agent path (one in-memory round-trip, and
+# a 512-agent fleet install).
+GUARDED_BENCH = ^(BenchmarkCheckParallel1|BenchmarkCheckParallel8|BenchmarkCheckWarmCache|BenchmarkChangeContractCheck|BenchmarkCheckDomains10000|BenchmarkCheckParallel10k1|BenchmarkCheckParallel10k8|BenchmarkConfigGen10k|BenchmarkMemAgentRoundTrip|BenchmarkMegaFleetInstall)$$
 
 # The §1-scale tier: the 100k-domain cold check and warm single-change
 # re-check, and the 25k-agent fleet install. Model construction alone
@@ -137,6 +138,13 @@ cover:
 svc-smoke:
 	$(GO) run ./cmd/nmslload -tenants 16 -duration 2s -out BENCH_svc.json
 	$(GO) run ./scripts/slogate -in BENCH_svc.json
+
+# The end-to-end benchmark's smoke test: every perfbench workload at tiny
+# sizes with all of its output checks (perfbench is its own Go module,
+# so `go test ./...` at the root never builds it). An API change that
+# breaks the benchmark fails here instead of at the next measurement.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # The full E-SVC-1 measurement: 64 tenants, longer sustained phase.
 svc-bench:

@@ -39,6 +39,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -47,12 +48,66 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
+	apiv1 "nmsl/api/v1"
 	"nmsl/internal/obs"
 	"nmsl/internal/service"
 )
+
+// Connection limits. A client has readHeaderTimeout to send its request
+// headers and readTimeout to send the whole request, body included (a
+// 64 MB spec PUT fits at well under 1 MB/s), so a slow or stalled
+// client cannot hold a connection and its goroutine open. readTimeout
+// bounds the read only: once the body is in, net/http clears the
+// connection's read deadline before the read it keeps open to notice a
+// departing client, so a check or rollout that outlasts readTimeout
+// keeps a live request context. An idle keep-alive connection is closed after
+// idleTimeout, far above the gap between a working client's requests,
+// so reused connections are not reaped under it. There is no write
+// timeout: a check or rollout runs as long as its request context
+// allows.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 5 * time.Minute
+)
+
+// newServer wraps the daemon's handler in the connection limits and the
+// panic guard.
+func newServer(h http.Handler, logw io.Writer) *http.Server {
+	return &http.Server{
+		Handler:           recoverPanics(h, logw),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// recoverPanics answers a request whose handler panicked with a 500
+// carrying the api/v1 error envelope, and logs the panic with its
+// stack, where net/http alone would drop the connection without a
+// response. http.ErrAbortHandler keeps its meaning and still aborts.
+func recoverPanics(h http.Handler, logw io.Writer) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			p := recover()
+			if p == nil {
+				return
+			}
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
+			fmt.Fprintf(logw, "nmsld: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+			w.Header().Set("Content-Type", "application/json; charset=utf-8")
+			w.WriteHeader(http.StatusInternalServerError)
+			_ = json.NewEncoder(w).Encode(apiv1.NewError(http.StatusInternalServerError, "internal error"))
+		}()
+		h.ServeHTTP(w, r)
+	})
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil))
@@ -106,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "nmsld: %v\n", err)
 		return 2
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := newServer(svc.Handler(), stderr)
 	fmt.Fprintf(stdout, "nmsld: listening on http://%s (%d tenants resident)\n",
 		ln.Addr(), len(svc.TenantIDs()))
 	if ready != nil {

@@ -31,6 +31,22 @@ func startDaemon(t *testing.T, extra ...string) (string, chan int, *strings.Buil
 	}
 }
 
+// stopDaemon shuts a startDaemon daemon down and checks its exit code.
+func stopDaemon(t *testing.T, done chan int, errb *strings.Builder) {
+	t.Helper()
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("exit %d: %s", code, errb.String())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not shut down on SIGTERM")
+	}
+}
+
 func putSpec(t *testing.T, base, id string, p netsim.Params) {
 	t.Helper()
 	req := apiv1.SpecRequest{Sources: []apiv1.Source{{Name: "net.nmsl", Text: netsim.Source(p)}}}
@@ -77,17 +93,7 @@ func TestDaemonServesAndShutsDown(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case code := <-done:
-		if code != 0 {
-			t.Fatalf("exit %d: %s", code, errb.String())
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not shut down on SIGTERM")
-	}
+	stopDaemon(t, done, errb)
 }
 
 // TestDaemonRestartWarm is the end-to-end kill-and-restart proof at

@@ -63,11 +63,8 @@ func Generate(m *consistency.Model) map[string]*snmp.Config {
 			continue
 		}
 		cfg := &snmp.Config{Communities: map[string]*snmp.CommunityConfig{}}
-		for i := range m.Perms {
-			p := &m.Perms[i]
-			if p.GrantorInst != in.ID {
-				continue
-			}
+		for _, pi := range m.PermsGrantedBy(in) {
+			p := &m.Perms[pi]
 			cc := cfg.Communities[p.Grantee]
 			if cc == nil {
 				cc = &snmp.CommunityConfig{Access: mib.AccessNone}

@@ -108,14 +108,9 @@ domain public ::= domain lab; end domain public.
 	}
 }
 
-// TestGenerateMixedAccessDoesNotLeak is the regression test for the
-// access-mode merge bug: a grantee holding ReadWrite on one subtree and
-// ReadOnly on another used to get one community-wide mode covering both,
-// leaking write access onto the ReadOnly export. The generated policy —
-// and a live agent running it — must reject a Set on the ReadOnly
-// subtree while still accepting one on the writable subtree.
-func TestGenerateMixedAccessDoesNotLeak(t *testing.T) {
-	src := `
+// mixedAccessSrc has one agent exporting two subtrees to one grantee
+// under different modes (ReadOnly and Any).
+const mixedAccessSrc = `
 process agent ::=
     supports mgmt.mib;
     exports mgmt.mib.system to "ops" access ReadOnly;
@@ -130,7 +125,15 @@ end system "h".
 domain lab ::= system h; end domain lab.
 domain ops ::= end domain ops.
 `
-	m := buildModel(t, src)
+
+// TestGenerateMixedAccessDoesNotLeak is the regression test for the
+// access-mode merge bug: a grantee holding ReadWrite on one subtree and
+// ReadOnly on another used to get one community-wide mode covering both,
+// leaking write access onto the ReadOnly export. The generated policy —
+// and a live agent running it — must reject a Set on the ReadOnly
+// subtree while still accepting one on the writable subtree.
+func TestGenerateMixedAccessDoesNotLeak(t *testing.T) {
+	m := buildModel(t, mixedAccessSrc)
 	cfg := Generate(m)["agent@h#0"]
 	if cfg == nil {
 		t.Fatal("missing config")

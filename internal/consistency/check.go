@@ -244,10 +244,7 @@ func (c *Checker) candidatePerms(ref *Ref, sc *scratch) []int32 {
 		return out
 	}
 	sc.hits++
-	out = append(out, co.permsByInst[ti]...)
-	for _, d := range co.instDoms(ti) {
-		out = append(out, co.permsByDom[d]...)
-	}
+	co.eachCandidate(ti, func(pi int32) { out = append(out, pi) })
 	slices.Sort(out)
 	sc.perms = out
 	return out

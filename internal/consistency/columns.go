@@ -201,6 +201,31 @@ func buildColumnsFrom(m *Model, old *Model, oldCo *columns, delta *ModelDelta) *
 	return co
 }
 
+// PermsGrantedBy returns the indexes into m.Perms of the process-level
+// permissions the instance grants, in ascending order. It reads the
+// checker's grantor index, so configuration generation walks only the
+// instance's own exports instead of every permission in the model. in
+// must be one of m.Instances; the slice is shared and must not be
+// modified.
+func (m *Model) PermsGrantedBy(in *Instance) []int32 {
+	return m.columns().permsByInst[in.idx]
+}
+
+// eachCandidate calls fn with every permission that may cover a
+// reference to instance ti: the instance's own grants, then those of
+// each domain containing it. It is the one candidate rule the checker
+// and GrantedCommunity share.
+func (co *columns) eachCandidate(ti int32, fn func(pi int32)) {
+	for _, pi := range co.permsByInst[ti] {
+		fn(pi)
+	}
+	for _, d := range co.instDoms(ti) {
+		for _, pi := range co.permsByDom[d] {
+			fn(pi)
+		}
+	}
+}
+
 // instDoms returns the ascending domain-id run transitively containing
 // the instance.
 func (co *columns) instDoms(i int32) []int32 {

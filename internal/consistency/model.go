@@ -565,25 +565,18 @@ func (m *Model) PartyInDomain(instID, domain string) bool {
 // consistent specifications. When several grantees qualify the
 // lexicographically first is returned, so callers are deterministic.
 func (m *Model) GrantedCommunity(ref *Ref) string {
+	co := m.columns()
+	si := ref.Source.idx
 	best := ""
-	for i := range m.Perms {
-		p := &m.Perms[i]
-		if p.GrantorInst != "" && p.GrantorInst != ref.Target.ID {
-			continue
-		}
-		if p.GrantorDomain != "" && !m.partyInDomain(ref.Target.ID, p.GrantorDomain) {
-			continue
-		}
-		if !m.partyInDomain(ref.Source.ID, p.Grantee) {
-			continue
-		}
-		if !p.Var.Contains(ref.Var) || !p.Access.Allows(ref.Access) {
-			continue
+	co.eachCandidate(ref.Target.idx, func(pi int32) {
+		p := &m.Perms[pi]
+		if !co.instHasDom(si, co.permGrantee[pi]) || !p.Var.Contains(ref.Var) || !p.Access.Allows(ref.Access) {
+			return
 		}
 		if best == "" || p.Grantee < best {
 			best = p.Grantee
 		}
-	}
+	})
 	return best
 }
 

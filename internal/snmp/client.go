@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -161,6 +162,18 @@ func (c *Client) backoffDelay(k int) time.Duration {
 	return time.Duration(half + rand.Int63n(2*half))
 }
 
+// recvBufs pools the clients' 64 KB receive buffers (the largest UDP
+// datagram), so a round trip does not allocate one. A pool rather than a
+// per-client buffer because clients and their sockets are shared across
+// goroutines (ClientMux, the atomic request ID). Handing a buffer back
+// as soon as the call returns is safe because Unmarshal copies every
+// byte it keeps (octet strings, opaques and addresses are copied, OIDs
+// decode into fresh slices), so no response aliases the buffer.
+var recvBufs = sync.Pool{New: func() any {
+	b := make([]byte, 64*1024)
+	return &b
+}}
+
 // roundTrip sends the PDU and waits for the matching response,
 // retransmitting with exponential backoff until the retry budget or the
 // context runs out.
@@ -202,7 +215,9 @@ func (c *Client) roundTripID(ctx context.Context, id int32, pduType byte, bindin
 		})
 		defer stop()
 	}
-	buf := make([]byte, 64*1024)
+	bp := recvBufs.Get().(*[]byte)
+	defer recvBufs.Put(bp)
+	buf := *bp
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {

@@ -12,9 +12,13 @@
 // counting baselines absorb ±0 jitter from map growth. Entries without
 // -benchmem fields (both sides zero) skip the allocation comparison.
 //
-// Benchmark timings only compare within one machine class, so when the
-// baseline and current documents report different CPU strings the guard
-// prints a warning and exits 0 rather than failing on hardware drift.
+// Benchmark timings only compare within one machine class, so a baseline
+// entry is compared only with a current run on the CPU it was recorded
+// on: the document's cpu, or the entry's own cpu field when a baseline
+// holds samples from more than one host. A guarded benchmark with no
+// entry from the current CPU reports no-baseline, and when the baseline
+// holds nothing from the current CPU at all the guard prints a warning
+// and exits 0 rather than failing on hardware drift.
 //
 // Usage:
 //
@@ -37,11 +41,35 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// CPU names the host the entry was recorded on when it is not the
+	// document's.
+	CPU string `json:"cpu,omitempty"`
 }
 
 type Document struct {
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+// host returns the CPU the entry b of d was recorded on.
+func (d *Document) host(b *Benchmark) string {
+	if b.CPU != "" {
+		return b.CPU
+	}
+	return d.CPU
+}
+
+// recordedOn reports whether any entry of d was recorded on cpu.
+func (d *Document) recordedOn(cpu string) bool {
+	if d.CPU == cpu {
+		return true
+	}
+	for i := range d.Benchmarks {
+		if d.Benchmarks[i].CPU == cpu {
+			return true
+		}
+	}
+	return false
 }
 
 // sample is the per-side minimum of each guarded metric.
@@ -65,13 +93,13 @@ type result struct {
 }
 
 // minSample returns the per-metric minimum over every multi-iteration
-// entry named name. Single-iteration entries come from the
+// entry named name recorded on cpu. Single-iteration entries come from the
 // -benchtime=1x smoke sweep, where warmup effects dominate; mixing them
 // into a min would bias the comparison, so they are skipped.
-func minSample(d *Document, name string) sample {
+func minSample(d *Document, name, cpu string) sample {
 	var s sample
 	for _, b := range d.Benchmarks {
-		if b.Name != name || b.NsPerOp <= 0 || b.Iterations < 2 {
+		if b.Name != name || b.NsPerOp <= 0 || b.Iterations < 2 || d.host(&b) != cpu {
 			continue
 		}
 		if !s.ok {
@@ -106,17 +134,17 @@ func memRegressed(base, cur, tol float64) bool {
 // caller should exit 0. failed reports a regression beyond tol, or a
 // guarded benchmark missing from the current run.
 func compare(base, cur *Document, names []string, tol float64) (results []result, failed bool, skip string) {
-	if base.CPU != cur.CPU {
+	if !base.recordedOn(cur.CPU) {
 		return nil, false, fmt.Sprintf("baseline CPU %q != current CPU %q; cross-machine timings do not compare", base.CPU, cur.CPU)
 	}
 	for _, name := range names {
-		c := minSample(cur, name)
+		c := minSample(cur, name, cur.CPU)
 		if !c.ok {
 			results = append(results, result{name: name, status: "missing from current run"})
 			failed = true
 			continue
 		}
-		b := minSample(base, name)
+		b := minSample(base, name, cur.CPU)
 		if !b.ok {
 			results = append(results, result{name: name, cur: c, status: "no-baseline"})
 			continue
@@ -186,7 +214,7 @@ func main() {
 	current := flag.String("current", "BENCH_guard.json", "fresh run to compare (bench2json format)")
 	tol := flag.Float64("tolerance", 0.20, "allowed fractional drift before failing")
 	bench := flag.String("bench",
-		"CheckParallel1,CheckParallel8,CheckWarmCache,ChangeContractCheck,CheckDomains10000,CheckParallel10k1,CheckParallel10k8,MemAgentRoundTrip,MegaFleetInstall,CheckDomains100k,CheckDomains100kWarmDelta,MegaFleetInstall25k",
+		"CheckParallel1,CheckParallel8,CheckWarmCache,ChangeContractCheck,CheckDomains10000,CheckParallel10k1,CheckParallel10k8,ConfigGen10k,MemAgentRoundTrip,MegaFleetInstall,CheckDomains100k,CheckDomains100kWarmDelta,MegaFleetInstall25k",
 		"comma-separated guarded benchmark names (bench2json names, no Benchmark prefix)")
 	flag.Parse()
 

@@ -94,6 +94,37 @@ func TestCompareSkipsOnCPUMismatch(t *testing.T) {
 	}
 }
 
+// A baseline holding samples from two hosts compares each entry only on
+// the host it was recorded on; the other host's entries are no-baseline,
+// never a cross-machine verdict.
+func TestCompareMixedHostBaseline(t *testing.T) {
+	base := doc("xeon",
+		Benchmark{Name: "CheckParallel8", NsPerOp: 1000},
+		Benchmark{Name: "ConfigGen10k", NsPerOp: 50, CPU: "epyc"})
+	names := []string{"CheckParallel8", "ConfigGen10k"}
+
+	onEpyc := doc("epyc",
+		Benchmark{Name: "CheckParallel8", NsPerOp: 9000},
+		Benchmark{Name: "ConfigGen10k", NsPerOp: 55})
+	results, failed, skip := compare(base, onEpyc, names, 0.20)
+	if skip != "" || failed || results[0].status != "no-baseline" || results[1].status != "ok" {
+		t.Fatalf("on epyc: results = %+v failed=%v skip=%q, want no-baseline + ok", results, failed, skip)
+	}
+
+	onXeon := doc("xeon",
+		Benchmark{Name: "CheckParallel8", NsPerOp: 1100},
+		Benchmark{Name: "ConfigGen10k", NsPerOp: 9999})
+	results, failed, skip = compare(base, onXeon, names, 0.20)
+	if skip != "" || failed || results[0].status != "ok" || results[1].status != "no-baseline" {
+		t.Fatalf("on xeon: results = %+v failed=%v skip=%q, want ok + no-baseline", results, failed, skip)
+	}
+
+	onXeon.Benchmarks[0].NsPerOp = 1300
+	if _, failed, _ := compare(base, onXeon, names, 0.20); !failed {
+		t.Fatal("regression on the entry's own host passed")
+	}
+}
+
 func TestCompareMissingBenchmarkFails(t *testing.T) {
 	base := doc("xeon", Benchmark{Name: "CheckParallel8", NsPerOp: 1000})
 	cur := doc("xeon")
