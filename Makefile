@@ -25,9 +25,11 @@ MEGA_AGENTS ?= 1000
 # cache incremental re-check (bare, and with the change-contract
 # pre-gate on top), the paper-scale 10k-domain cold check (serial and
 # 1/8-worker parallel), configuration generation for the same 10k
-# domains, and the mega-fleet agent path (one in-memory round-trip, and
-# a 512-agent fleet install).
-GUARDED_BENCH = ^(BenchmarkCheckParallel1|BenchmarkCheckParallel8|BenchmarkCheckWarmCache|BenchmarkChangeContractCheck|BenchmarkCheckDomains10000|BenchmarkCheckParallel10k1|BenchmarkCheckParallel10k8|BenchmarkConfigGen10k|BenchmarkMemAgentRoundTrip|BenchmarkMegaFleetInstall)$$
+# domains, the mega-fleet agent path (one in-memory round-trip, and
+# a 512-agent fleet install), and the compiler front end (a 1000-domain
+# internet, and the paper's own figures, which catch fixed per-compile
+# costs).
+GUARDED_BENCH = ^(BenchmarkCheckParallel1|BenchmarkCheckParallel8|BenchmarkCheckWarmCache|BenchmarkChangeContractCheck|BenchmarkCheckDomains10000|BenchmarkCheckParallel10k1|BenchmarkCheckParallel10k8|BenchmarkConfigGen10k|BenchmarkMemAgentRoundTrip|BenchmarkMegaFleetInstall|BenchmarkCompileDomains1000|BenchmarkCompilePaperSpec)$$
 
 # The §1-scale tier: the 100k-domain cold check and warm single-change
 # re-check, and the 25k-agent fleet install. Model construction alone
@@ -166,8 +168,9 @@ bench-ci: bench-mutex bench-heap
 # Regression guard over the perf-critical benchmarks: measure the
 # sharded check and the warm-cache incremental re-check (min of three
 # short runs), then compare against the committed baseline BENCH_5.json
-# with a +-20% tolerance. Skips cleanly when the baseline was recorded
-# on different hardware (the guard compares CPU strings).
+# with a +-20% tolerance. On hardware the baseline was not recorded on
+# (the guard compares CPU strings) it skips ns/op but still gates
+# allocs/op and B/op.
 bench-guard:
 	$(GO) test -bench='$(GUARDED_BENCH)' -benchmem \
 		-benchtime=20x -count=3 -run='^$$' . | tee BENCH_guard.txt

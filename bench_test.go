@@ -31,6 +31,7 @@ import (
 	"nmsl/internal/parser"
 	"nmsl/internal/simrun"
 	"nmsl/internal/snmp"
+	"nmsl/internal/token"
 
 	cfggen "nmsl/internal/configgen"
 )
@@ -300,13 +301,11 @@ func BenchmarkCheckSystems10000(b *testing.B) { benchCheckSystems(b, 100) }
 func BenchmarkLexer(b *testing.B) {
 	src := netsim.Source(netsim.Params{Domains: 100, SystemsPerDomain: 2, Seed: 1})
 	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lx := lexer.New(src)
-		for {
-			if tok := lx.Next(); tok.Kind == 1 { // token.EOF
-				break
-			}
+		for lx.Next().Kind != token.EOF {
 		}
 	}
 }
@@ -314,6 +313,7 @@ func BenchmarkLexer(b *testing.B) {
 func BenchmarkParser(b *testing.B) {
 	src := netsim.Source(netsim.Params{Domains: 100, SystemsPerDomain: 2, Seed: 1})
 	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := parser.Parse("bench", src); err != nil {

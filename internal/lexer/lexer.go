@@ -49,9 +49,13 @@ func (l *Lexer) pos() token.Pos {
 }
 
 // peek returns the current rune without consuming it, or -1 at EOF.
+// ASCII bytes, nearly all of any specification, skip the UTF-8 decoder.
 func (l *Lexer) peek() rune {
 	if l.off >= len(l.src) {
 		return -1
+	}
+	if c := l.src[l.off]; c < utf8.RuneSelf {
+		return rune(c)
 	}
 	r, _ := utf8.DecodeRuneInString(l.src[l.off:])
 	return r
@@ -71,7 +75,10 @@ func (l *Lexer) next() rune {
 	if l.off >= len(l.src) {
 		return -1
 	}
-	r, w := utf8.DecodeRuneInString(l.src[l.off:])
+	r, w := rune(l.src[l.off]), 1
+	if r >= utf8.RuneSelf {
+		r, w = utf8.DecodeRuneInString(l.src[l.off:])
+	}
 	l.off += w
 	if r == '\n' {
 		l.line++
@@ -105,14 +112,28 @@ func (l *Lexer) skipSpaceAndComments() {
 }
 
 func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
+	if r < utf8.RuneSelf {
+		return 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || r == '_'
+	}
+	return unicode.IsLetter(r)
 }
 
 // isIdentPart accepts letters, digits, '_' and '-' inside identifiers:
 // NMSL names such as "wisc-research" and "ethernet-csmacd" (Figure 4.6)
 // contain hyphens, matching ASN.1 identifier syntax.
 func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
+	if r < utf8.RuneSelf {
+		return 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' || r == '_' || r == '-'
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// isDigit accepts any Unicode decimal digit, as the lexer always has.
+func isDigit(r rune) bool {
+	if r < utf8.RuneSelf {
+		return '0' <= r && r <= '9'
+	}
+	return unicode.IsDigit(r)
 }
 
 // Next scans and returns the next token. At end of input it returns an EOF
@@ -126,7 +147,7 @@ func (l *Lexer) Next() token.Token {
 		return token.Token{Kind: token.EOF, Pos: start}
 	case isIdentStart(r):
 		return l.scanIdent(start)
-	case unicode.IsDigit(r):
+	case isDigit(r):
 		return l.scanNumber(start)
 	case r == '"':
 		return l.scanString(start)
@@ -177,10 +198,11 @@ func (l *Lexer) Next() token.Token {
 	return token.Token{Kind: token.ILLEGAL, Text: string(r), Pos: start}
 }
 
-// scanIdent and scanNumber slice the token text directly out of the
-// source buffer: token text shares the input's backing array, which keeps
-// lexing allocation-free (this dominates compile time on 100k-line
-// specifications).
+// Every token's text is a slice of the source buffer, or a string
+// constant for punctuation; only an illegal character and a string
+// literal holding invalid UTF-8 are copied. Token text shares the
+// input's backing array, which keeps lexing allocation-free (this
+// dominates compile time on 100k-line specifications).
 
 func (l *Lexer) scanIdent(start token.Pos) token.Token {
 	for isIdentPart(l.peek()) {
@@ -190,22 +212,22 @@ func (l *Lexer) scanIdent(start token.Pos) token.Token {
 }
 
 func (l *Lexer) scanNumber(start token.Pos) token.Token {
-	for unicode.IsDigit(l.peek()) {
+	for isDigit(l.peek()) {
 		l.next()
 	}
 	// A '.' following a number is only part of the number if a digit
 	// follows; otherwise it is the declaration terminator PERIOD
 	// ("speed 10000000 bps;" vs "end type ipAddrTable.").
-	if l.peek() == '.' && unicode.IsDigit(l.peekAt(1)) {
+	if l.peek() == '.' && isDigit(l.peekAt(1)) {
 		l.next()
-		for unicode.IsDigit(l.peek()) {
+		for isDigit(l.peek()) {
 			l.next()
 		}
 		// allow dotted version numbers like 4.0.1 to lex as a single
 		// FLOAT-class token with full text ("opsys SunOS version 4.0.1").
-		for l.peek() == '.' && unicode.IsDigit(l.peekAt(1)) {
+		for l.peek() == '.' && isDigit(l.peekAt(1)) {
 			l.next()
-			for unicode.IsDigit(l.peek()) {
+			for isDigit(l.peek()) {
 				l.next()
 			}
 		}
@@ -214,32 +236,34 @@ func (l *Lexer) scanNumber(start token.Pos) token.Token {
 	return token.Token{Kind: token.INT, Text: l.src[start.Offset:l.off], Pos: start}
 }
 
+// scanString slices the literal's text out of the source: NMSL strings
+// have no escapes. Bytes that are not valid UTF-8 read as U+FFFD, as the
+// rune-at-a-time scanner always rendered them.
 func (l *Lexer) scanString(start token.Pos) token.Token {
 	l.next() // opening quote
-	var b strings.Builder
+	body := l.off
 	for {
-		r := l.next()
-		switch r {
+		end := l.off
+		switch l.next() {
 		case -1, '\n':
 			l.errorf(start, "unterminated string literal")
-			return token.Token{Kind: token.ILLEGAL, Text: b.String(), Pos: start}
+			return token.Token{Kind: token.ILLEGAL, Text: l.text(body, end), Pos: start}
 		case '"':
-			return token.Token{Kind: token.STRING, Text: b.String(), Pos: start}
-		default:
-			b.WriteRune(r)
+			return token.Token{Kind: token.STRING, Text: l.text(body, end), Pos: start}
 		}
 	}
 }
 
-// All scans the entire input and returns every token up to and including
-// the terminating EOF token.
-func (l *Lexer) All() []token.Token {
-	var toks []token.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
+// text returns src[from:to], with each byte that is not valid UTF-8
+// replaced by U+FFFD.
+func (l *Lexer) text(from, to int) string {
+	s := l.src[from:to]
+	if utf8.ValidString(s) {
+		return s
 	}
+	var b strings.Builder
+	for _, r := range s {
+		b.WriteRune(r)
+	}
+	return b.String()
 }

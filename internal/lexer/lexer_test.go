@@ -8,6 +8,19 @@ import (
 	"nmsl/internal/token"
 )
 
+// lexAll scans src to its EOF token, inclusive.
+func lexAll(src string) []token.Token {
+	l := New(src)
+	var toks []token.Token
+	for {
+		t := l.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks
+		}
+	}
+}
+
 func kinds(toks []token.Token) []token.Kind {
 	ks := make([]token.Kind, len(toks))
 	for i, t := range toks {
@@ -17,7 +30,7 @@ func kinds(toks []token.Token) []token.Kind {
 }
 
 func TestScanDefine(t *testing.T) {
-	toks := New("type ipAddrTable ::=").All()
+	toks := lexAll("type ipAddrTable ::=")
 	want := []token.Kind{token.IDENT, token.IDENT, token.DEFINE, token.EOF}
 	got := kinds(toks)
 	if len(got) != len(want) {
@@ -79,7 +92,7 @@ func TestUnterminatedString(t *testing.T) {
 
 func TestComments(t *testing.T) {
 	src := "supports mgmt -- entire MIB subtree\n;"
-	toks := New(src).All()
+	toks := lexAll(src)
 	want := []token.Kind{token.IDENT, token.IDENT, token.SEMI, token.EOF}
 	got := kinds(toks)
 	if len(got) != len(want) {
@@ -93,7 +106,7 @@ func TestComments(t *testing.T) {
 }
 
 func TestHyphenatedIdent(t *testing.T) {
-	toks := New("ethernet-csmacd wisc-research").All()
+	toks := lexAll("ethernet-csmacd wisc-research")
 	if toks[0].Text != "ethernet-csmacd" || toks[1].Text != "wisc-research" {
 		t.Fatalf("got %v", toks)
 	}
@@ -102,7 +115,7 @@ func TestHyphenatedIdent(t *testing.T) {
 // A "--" that begins a comment must not be confused with a hyphenated
 // identifier continuation.
 func TestCommentAfterIdent(t *testing.T) {
-	toks := New("mib --comment\nnext").All()
+	toks := lexAll("mib --comment\nnext")
 	if len(toks) != 3 || toks[0].Text != "mib" || toks[1].Text != "next" {
 		t.Fatalf("got %v", toks)
 	}
@@ -130,7 +143,7 @@ func TestNumbers(t *testing.T) {
 // "end type ipAddrTable." — the trailing period terminates the declaration
 // and must not attach to the identifier.
 func TestPeriodAfterIdent(t *testing.T) {
-	toks := New("end type ipAddrTable.").All()
+	toks := lexAll("end type ipAddrTable.")
 	want := []token.Kind{token.IDENT, token.IDENT, token.IDENT, token.PERIOD, token.EOF}
 	got := kinds(toks)
 	if len(got) != len(want) {
@@ -145,14 +158,14 @@ func TestPeriodAfterIdent(t *testing.T) {
 
 // A number followed by a declaration-terminating period stays an INT.
 func TestIntThenPeriod(t *testing.T) {
-	toks := New("5.").All()
+	toks := lexAll("5.")
 	if toks[0].Kind != token.INT || toks[1].Kind != token.PERIOD {
 		t.Fatalf("got %v", toks)
 	}
 }
 
 func TestDottedNameLexesAsIdentPeriodIdent(t *testing.T) {
-	toks := New("mgmt.mib.ip").All()
+	toks := lexAll("mgmt.mib.ip")
 	want := []token.Kind{token.IDENT, token.PERIOD, token.IDENT, token.PERIOD, token.IDENT, token.EOF}
 	got := kinds(toks)
 	for i := range want {
@@ -198,7 +211,7 @@ func TestEOFIsSticky(t *testing.T) {
 // arbitrary input strings.
 func TestLexerTotal(t *testing.T) {
 	f := func(src string) bool {
-		toks := New(src).All()
+		toks := lexAll(src)
 		return len(toks) >= 1 && toks[len(toks)-1].Kind == token.EOF
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -228,7 +241,7 @@ func TestLexerWordsRoundTrip(t *testing.T) {
 			}
 		}
 		src := strings.Join(clean, " ")
-		toks := New(src).All()
+		toks := lexAll(src)
 		var got []string
 		for _, tok := range toks {
 			if tok.Kind == token.IDENT {
@@ -247,5 +260,59 @@ func TestLexerWordsRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The ASCII fast path must not change how non-ASCII input lexes: Unicode
+// letters and decimal digits still make identifiers and numbers, Unicode
+// white space still separates tokens, and string text is the source
+// verbatim, a "--" inside it included.
+func TestNonASCII(t *testing.T) {
+	type tok struct {
+		kind token.Kind
+		text string
+	}
+	cases := []struct {
+		src  string
+		want []tok
+	}{
+		{"δ-net", []tok{{token.IDENT, "δ-net"}}},
+		{"x٣ y", []tok{{token.IDENT, "x٣"}, {token.IDENT, "y"}}},
+		{"٣٤", []tok{{token.INT, "٣٤"}}},
+		{"٣.٤", []tok{{token.FLOAT, "٣.٤"}}},
+		{"a\u00a0b\u2003c", []tok{{token.IDENT, "a"}, {token.IDENT, "b"}, {token.IDENT, "c"}}},
+		{`"a -- b" c`, []tok{{token.STRING, "a -- b"}, {token.IDENT, "c"}}},
+		{`"δ--ε"`, []tok{{token.STRING, "δ--ε"}}},
+		{"\"a\xffb\"", []tok{{token.STRING, "a\uFFFDb"}}},
+		{"\"a\xff", []tok{{token.ILLEGAL, "a\uFFFD"}}},
+		{"é.ü", []tok{{token.IDENT, "é"}, {token.PERIOD, "."}, {token.IDENT, "ü"}}},
+		{"→", []tok{{token.ILLEGAL, "→"}}},
+	}
+	for _, c := range cases {
+		toks := lexAll(c.src)
+		var got []tok
+		for _, t := range toks[:len(toks)-1] {
+			got = append(got, tok{t.Kind, t.Text})
+		}
+		if len(got) != len(c.want) {
+			t.Errorf("%q: got %v, want %v", c.src, got, c.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("%q: token %d got %v, want %v", c.src, i, got[i], c.want[i])
+			}
+		}
+	}
+}
+
+// Columns count runes, not bytes, on every path.
+func TestNonASCIIPositions(t *testing.T) {
+	toks := lexAll("δδ x\n\"é\" y")
+	want := []token.Pos{{Offset: 0, Line: 1, Column: 1}, {Offset: 5, Line: 1, Column: 4}, {Offset: 7, Line: 2, Column: 1}, {Offset: 12, Line: 2, Column: 5}}
+	for i, w := range want {
+		if toks[i].Pos != w {
+			t.Errorf("token %d (%v) at %+v, want %+v", i, toks[i], toks[i].Pos, w)
+		}
 	}
 }

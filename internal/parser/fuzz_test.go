@@ -13,7 +13,8 @@ import (
 //	go test -fuzz=FuzzParse ./internal/parser
 //
 // The seed corpus covers every declaration kind and the known tricky
-// token sequences (trailer periods, dotted names, version literals).
+// token sequences (trailer periods, dotted names, version literals), and
+// the non-ASCII input the lexer's ASCII fast path hands to unicode.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		paperspec.Figure42,
@@ -31,6 +32,11 @@ func FuzzParse(f *testing.F) {
 		"-- just a comment",
 		"type t ::= OCTET STRING; end type t.",
 		"domain d ::= process p(*, *, 5, \"s\"); end domain d.",
+		"domain δ-net ::= system x٣; end domain δ-net.",
+		"type t ::= a\u00a0b\u2003c; end type t.",
+		"process p ::= exports m to \"a -- b\"; end process p.",
+		"type t ::= \"a\xffb\" ٣.٤; end type t.",
+		"domain a . b ::= x . y.z; end domain a.b.",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -197,24 +197,42 @@ func (l ErrorList) Err() error {
 	return l
 }
 
+// parser pulls tokens from the lexer one at a time: the generic grammar
+// of Figure 6.1 needs the current token and one of lookahead, and the
+// trailer's diagnostics the one before.
 type parser struct {
-	toks []token.Token
-	pos  int
-	errs ErrorList
+	src             string
+	lx              *lexer.Lexer
+	prev, tok, next token.Token
+	errs            ErrorList
+
+	// stack holds the items of every clause and group still open; slab
+	// is the unused tail of the current chunk that closed item lists
+	// are carved from, chunk items at a time.
+	stack []Item
+	slab  []Item
+	chunk int
 }
+
+// Specifications run 13–15 source bytes per item; a chunk sized at one
+// item per itemBytes holds a small file whole, and maxChunk bounds what
+// a comment-heavy file can leave unused.
+const (
+	itemBytes = 12
+	minChunk  = 16
+	maxChunk  = 1 << 14
+)
 
 // Parse parses src as an NMSL specification. name is used in diagnostics
 // only. It returns the File together with any syntax errors; the File
 // contains every declaration that could be recovered.
 func Parse(name, src string) (*File, error) {
 	lx := lexer.New(src)
-	toks := lx.All()
-	p := &parser{toks: toks}
-	for _, le := range lx.Errors() {
-		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
-	}
+	p := &parser{src: src, lx: lx, chunk: min(max(len(src)/itemBytes, minChunk), maxChunk)}
+	p.tok = lx.Next()
+	p.next = lx.Next()
 	file := &File{Name: name}
-	for p.cur().Kind != token.EOF {
+	for p.tok.Kind != token.EOF {
 		d := p.parseDecl()
 		if d != nil {
 			file.Decls = append(file.Decls, d)
@@ -222,23 +240,42 @@ func Parse(name, src string) (*File, error) {
 			p.recoverToNextDecl()
 		}
 	}
-	return file, p.errs.Err()
-}
-
-func (p *parser) cur() token.Token { return p.toks[p.pos] }
-func (p *parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+	// Lexer errors come first, as when the whole input was lexed before
+	// parsing began.
+	lexErrs := lx.Errors()
+	errs := make(ErrorList, 0, len(lexErrs)+len(p.errs))
+	for _, le := range lexErrs {
+		errs = append(errs, &Error{Pos: le.Pos, Msg: le.Msg})
 	}
-	return p.toks[len(p.toks)-1]
+	return file, append(errs, p.errs...).Err()
 }
 
+// advance consumes and returns the current token. At EOF it stays put.
 func (p *parser) advance() token.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.Kind != token.EOF {
+		p.prev, p.tok, p.next = t, p.next, p.lx.Next()
 	}
 	return t
+}
+
+// carve closes the item list that starts at stack[base]: it moves the
+// items into an exactly sized slice of the slab (cap == len, so an
+// append by a later pass reallocates instead of overwriting a
+// neighbour's items) and pops them off the stack.
+func (p *parser) carve(base int) []Item {
+	n := len(p.stack) - base
+	if n == 0 {
+		return nil
+	}
+	if n > len(p.slab) {
+		p.slab = make([]Item, max(n, p.chunk))
+	}
+	items := p.slab[:n:n]
+	p.slab = p.slab[n:]
+	copy(items, p.stack[base:])
+	p.stack = p.stack[:base]
+	return items
 }
 
 func (p *parser) errorf(pos token.Pos, format string, args ...any) {
@@ -264,23 +301,38 @@ func (p *parser) recoverToNextDecl() {
 // optionally extended by dotted segments (cs.wisc.edu appears unquoted as
 // a domain member in Figure 4.8).
 func (p *parser) parseName() (name string, quoted bool, ok bool) {
-	t := p.cur()
+	t := p.tok
 	switch t.Kind {
 	case token.STRING:
 		p.advance()
 		return t.Text, true, true
 	case token.IDENT:
 		p.advance()
-		parts := []string{t.Text}
-		for p.cur().Kind == token.PERIOD && p.peek().Kind == token.IDENT {
-			p.advance()
-			parts = append(parts, p.advance().Text)
-		}
-		return strings.Join(parts, "."), false, true
+		return p.dotted(t, 0), false, true
 	default:
 		p.errorf(t.Pos, "expected declaration name, found %s", t)
 		return "", false, false
 	}
+}
+
+// dotted extends the IDENT first, already consumed, by the "." IDENT
+// segments that follow it, up to segs segments in all (0: no limit).
+// While the segments touch in the source the name is a slice of it;
+// only a name spread out by white space or comments is joined anew.
+func (p *parser) dotted(first token.Token, segs int) string {
+	name := first.Text
+	end := first.Pos.Offset + len(name) // source end of name, or -1 once joined
+	for n := 1; (segs == 0 || n < segs) && p.tok.Kind == token.PERIOD && p.next.Kind == token.IDENT; n++ {
+		dot, id := p.advance(), p.advance()
+		if end >= 0 && dot.Pos.Offset == end && id.Pos.Offset == end+1 {
+			end = id.Pos.Offset + len(id.Text)
+			name = p.src[first.Pos.Offset:end]
+			continue
+		}
+		end = -1
+		name += "." + id.Text
+	}
+	return name
 }
 
 // parseTrailerName parses the declaration name in a trailer. Unlike
@@ -288,28 +340,22 @@ func (p *parser) parseName() (name string, quoted bool, ok bool) {
 // dotted-name connector, so for unquoted names it consumes at most as many
 // dotted segments as the header name has.
 func (p *parser) parseTrailerName(header string) (string, bool) {
-	t := p.cur()
+	t := p.tok
 	switch t.Kind {
 	case token.STRING:
 		p.advance()
 		return t.Text, true
 	case token.IDENT:
 		p.advance()
-		parts := []string{t.Text}
-		want := strings.Count(header, ".") + 1
-		for len(parts) < want && p.cur().Kind == token.PERIOD && p.peek().Kind == token.IDENT {
-			p.advance()
-			parts = append(parts, p.advance().Text)
-		}
-		return strings.Join(parts, "."), true
+		return p.dotted(t, strings.Count(header, ".")+1), true
 	default:
-		p.errorf(t.Pos, "expected declaration name after \"end %s\", found %s", p.toks[p.pos-1].Text, t)
+		p.errorf(t.Pos, "expected declaration name after \"end %s\", found %s", p.prev.Text, t)
 		return "", false
 	}
 }
 
 func (p *parser) parseDecl() *Decl {
-	start := p.cur()
+	start := p.tok
 	if start.Kind != token.IDENT {
 		p.errorf(start.Pos, "expected declaration type keyword, found %s", start)
 		return nil
@@ -323,12 +369,12 @@ func (p *parser) parseDecl() *Decl {
 	}
 	d.Name, d.Quoted = name, quoted
 
-	if p.cur().Kind == token.LPAREN {
+	if p.tok.Kind == token.LPAREN {
 		d.Params = p.parseParams()
 	}
 
-	if p.cur().Kind != token.DEFINE {
-		p.errorf(p.cur().Pos, "expected \"::=\" after declaration header, found %s", p.cur())
+	if p.tok.Kind != token.DEFINE {
+		p.errorf(p.tok.Pos, "expected \"::=\" after declaration header, found %s", p.tok)
 		return nil
 	}
 	p.advance()
@@ -336,7 +382,7 @@ func (p *parser) parseDecl() *Decl {
 	// Clause body: clauses until the word "end" appears at clause-start
 	// position.
 	for {
-		t := p.cur()
+		t := p.tok
 		if t.Kind == token.EOF {
 			p.errorf(t.Pos, "unexpected end of input in %s %s (missing \"end %s %s.\")", d.Type, d.Name, d.Type, d.Name)
 			return d
@@ -353,7 +399,7 @@ func (p *parser) parseDecl() *Decl {
 	// Trailer: end decltype declname "."
 	endTok := p.advance() // "end"
 	d.End = endTok.Pos
-	tt := p.cur()
+	tt := p.tok
 	if tt.Kind != token.IDENT {
 		p.errorf(tt.Pos, "expected declaration type after \"end\", found %s", tt)
 		return d
@@ -369,8 +415,8 @@ func (p *parser) parseDecl() *Decl {
 	if endName != d.Name {
 		p.errorf(tt.Pos, "declaration trailer name %q does not match header name %q", endName, d.Name)
 	}
-	if p.cur().Kind != token.PERIOD {
-		p.errorf(p.cur().Pos, "expected \".\" to terminate %s %s, found %s", d.Type, d.Name, p.cur())
+	if p.tok.Kind != token.PERIOD {
+		p.errorf(p.tok.Pos, "expected \".\" to terminate %s %s, found %s", d.Type, d.Name, p.tok)
 		return d
 	}
 	p.advance()
@@ -386,7 +432,7 @@ func (p *parser) parseParams() []Param {
 	p.advance() // '('
 	var params []Param
 	for {
-		t := p.cur()
+		t := p.tok
 		if t.Kind == token.RPAREN {
 			p.advance()
 			return params
@@ -399,10 +445,10 @@ func (p *parser) parseParams() []Param {
 			p.advance()
 			continue
 		}
-		if t.Kind == token.IDENT && p.peek().Kind == token.COLON {
+		if t.Kind == token.IDENT && p.next.Kind == token.COLON {
 			name := p.advance().Text
 			p.advance() // ':'
-			tt := p.cur()
+			tt := p.tok
 			if tt.Kind != token.IDENT {
 				p.errorf(tt.Pos, "expected type name after %q:, found %s", name, tt)
 				p.advance()
@@ -412,12 +458,12 @@ func (p *parser) parseParams() []Param {
 			params = append(params, Param{Name: name, Type: tt.Text, Pos: t.Pos})
 			continue
 		}
-		it := p.parseItem()
-		if it == nil {
+		it, ok := p.parseItem()
+		if !ok {
 			p.advance()
 			continue
 		}
-		params = append(params, Param{Value: it, Pos: t.Pos})
+		params = append(params, Param{Value: &it, Pos: t.Pos})
 	}
 }
 
@@ -425,81 +471,82 @@ func (p *parser) parseParams() []Param {
 // PERIOD always joins dotted names (declaration-terminating periods only
 // occur after the trailer's "end").
 func (p *parser) parseClause() *Clause {
-	c := &Clause{Pos: p.cur().Pos}
+	c := &Clause{Pos: p.tok.Pos}
+	base := len(p.stack)
+items:
 	for {
-		t := p.cur()
+		t := p.tok
 		switch t.Kind {
 		case token.SEMI:
 			p.advance()
-			return c
+			break items
 		case token.EOF:
 			p.errorf(t.Pos, "unterminated clause (missing \";\")")
-			return c
+			break items
 		case token.PERIOD:
 			// A stray period inside a clause is an error; most likely a
 			// missing semicolon before a declaration trailer.
 			p.errorf(t.Pos, "unexpected \".\" inside clause (missing \";\"?)")
 			p.advance()
-			return c
+			break items
 		}
-		if t.Is("end") && len(c.Items) > 0 {
+		if t.Is("end") && len(p.stack) > base {
 			// Defensive: missing ";" before trailer. Report and stop the
 			// clause so the declaration trailer can still be parsed.
 			p.errorf(t.Pos, "missing \";\" before \"end\"")
-			return c
+			break
 		}
-		it := p.parseItem()
-		if it == nil {
+		it, ok := p.parseItem()
+		if !ok {
 			p.advance()
 			continue
 		}
-		c.Items = append(c.Items, *it)
+		p.stack = append(p.stack, it)
 	}
+	c.Items = p.carve(base)
+	return c
 }
 
-func (p *parser) parseItem() *Item {
-	t := p.cur()
+// parseItem parses one item; ok is false, with an error reported and
+// the token left in place, when the current token cannot begin one.
+func (p *parser) parseItem() (it Item, ok bool) {
+	t := p.tok
 	switch t.Kind {
 	case token.IDENT:
 		p.advance()
-		text := t.Text
-		for p.cur().Kind == token.PERIOD && p.peek().Kind == token.IDENT {
-			p.advance()
-			text += "." + p.advance().Text
-		}
-		return &Item{Kind: Word, Text: text, Pos: t.Pos}
+		return Item{Kind: Word, Text: p.dotted(t, 0), Pos: t.Pos}, true
 	case token.STRING:
 		p.advance()
-		return &Item{Kind: Str, Text: t.Text, Pos: t.Pos}
+		return Item{Kind: Str, Text: t.Text, Pos: t.Pos}, true
 	case token.INT:
 		p.advance()
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
 			p.errorf(t.Pos, "integer literal %q out of range", t.Text)
 		}
-		return &Item{Kind: Int, Text: t.Text, IntVal: v, Pos: t.Pos}
+		return Item{Kind: Int, Text: t.Text, IntVal: v, Pos: t.Pos}, true
 	case token.FLOAT:
 		p.advance()
-		it := &Item{Kind: Float, Text: t.Text, Pos: t.Pos}
+		it := Item{Kind: Float, Text: t.Text, Pos: t.Pos}
 		if v, err := strconv.ParseFloat(t.Text, 64); err == nil {
 			it.FloatVal = v
 		}
-		return it
+		return it, true
 	case token.STAR:
 		p.advance()
-		return &Item{Kind: Star, Text: "*", Pos: t.Pos}
+		return Item{Kind: Star, Text: "*", Pos: t.Pos}, true
 	case token.LT, token.LE, token.GT, token.GE, token.ASSIGN, token.COLON, token.COMMA:
 		p.advance()
-		return &Item{Kind: Op, Text: t.Text, Pos: t.Pos}
+		return Item{Kind: Op, Text: t.Text, Pos: t.Pos}, true
 	case token.LPAREN, token.LBRACE:
-		return p.parseGroup()
+		return p.parseGroup(), true
 	default:
 		p.errorf(t.Pos, "unexpected %s in clause", t)
-		return nil
+		return Item{}, false
 	}
 }
 
-func (p *parser) parseGroup() *Item {
+func (p *parser) parseGroup() Item {
 	open := p.advance()
 	delim := byte('(')
 	closeKind := token.RPAREN
@@ -507,27 +554,30 @@ func (p *parser) parseGroup() *Item {
 		delim = '{'
 		closeKind = token.RBRACE
 	}
-	g := &Item{Kind: Group, Delim: delim, Pos: open.Pos}
+	g := Item{Kind: Group, Delim: delim, Pos: open.Pos}
+	base := len(p.stack)
 	for {
-		t := p.cur()
+		t := p.tok
 		if t.Kind == closeKind {
 			p.advance()
-			return g
+			break
 		}
 		if t.Kind == token.EOF {
 			p.errorf(open.Pos, "unterminated %q group", string(delim))
-			return g
+			break
 		}
 		// Inside ASN.1 groups a ';' can appear (defensively skip it).
 		if t.Kind == token.SEMI {
 			p.advance()
 			continue
 		}
-		it := p.parseItem()
-		if it == nil {
+		it, ok := p.parseItem()
+		if !ok {
 			p.advance()
 			continue
 		}
-		g.Items = append(g.Items, *it)
+		p.stack = append(p.stack, it)
 	}
+	g.Items = p.carve(base)
+	return g
 }

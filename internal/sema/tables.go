@@ -43,23 +43,40 @@ type Subclause struct {
 // Word item that is in subKeywords. The clause's own leading keyword
 // starts the first subclause. This is the pass-2 differentiation the
 // paper defers out of the generalized grammar.
+//
+// A subclause's items are the run of c.Items between its keyword and the
+// next one, so each is a sub-slice of c.Items with cap == len: nothing
+// is copied, and an append to one subclause reallocates rather than
+// overwriting the next keyword.
 func SplitClause(c *parser.Clause, subKeywords map[string]bool) []Subclause {
-	var subs []Subclause
-	cur := -1
-	for i, it := range c.Items {
-		isKw := it.Kind == parser.Word && (i == 0 || subKeywords[it.Text])
-		if isKw {
-			subs = append(subs, Subclause{Keyword: it.Text, Pos: it.Pos})
-			cur = len(subs) - 1
-			continue
+	items := c.Items
+	if len(items) == 0 {
+		return nil
+	}
+	// starts holds each subclause's first item: its keyword, or item 0
+	// when the clause does not begin with a word (an anonymous subclause).
+	var buf [16]int
+	starts := buf[:0]
+	for i, it := range items {
+		if i == 0 || it.Kind == parser.Word && subKeywords[it.Text] {
+			starts = append(starts, i)
 		}
-		if cur < 0 {
-			// clause does not begin with a word; collect under an
-			// anonymous subclause
-			subs = append(subs, Subclause{Pos: it.Pos})
-			cur = 0
+	}
+	subs := make([]Subclause, len(starts))
+	for k, first := range starts {
+		end := len(items)
+		if k+1 < len(starts) {
+			end = starts[k+1]
 		}
-		subs[cur].Items = append(subs[cur].Items, it)
+		sub := &subs[k]
+		sub.Pos = items[first].Pos
+		if items[first].Kind == parser.Word {
+			sub.Keyword = items[first].Text
+			first++
+		}
+		if first < end {
+			sub.Items = items[first:end:end]
+		}
 	}
 	return subs
 }

@@ -182,3 +182,49 @@ func (failingWriter) Write([]byte) (int, error) {
 }
 
 var errWrite = &Error{Msg: "write failed"}
+
+// SplitClause hands out sub-slices of the clause's items; each must end
+// at its length, so an append to one subclause never overwrites the
+// next subclause's keyword or items, nor the clause's.
+func TestSplitClauseNoAliasing(t *testing.T) {
+	f, err := parser.Parse("alias", `process p ::= exports a.b to "x" access ReadOnly frequency >= 5 minutes;
+	5 to access x; to to; queries A requests m frequency >= 5 minutes; end process p.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kws := map[string]bool{"to": true, "access": true, "frequency": true, "requests": true}
+	want := []string{
+		`exports[a.b;] to["x";] access[ReadOnly;] frequency[>= 5 minutes;]`,
+		`[5;] to[;] access[x;]`,
+		`to[;] to[;]`,
+		`queries[A;] requests[m;] frequency[>= 5 minutes;]`,
+	}
+	for ci, c := range f.Decls[0].Clauses {
+		clause := c.String()
+		subs := SplitClause(c, kws)
+		var before []string
+		for _, s := range subs {
+			if cap(s.Items) != len(s.Items) {
+				t.Errorf("%s: subclause %q cap %d != len %d", clause, s.Keyword, cap(s.Items), len(s.Items))
+			}
+			if len(s.Items) == 0 && s.Items != nil {
+				t.Errorf("%s: empty subclause %q has non-nil items", clause, s.Keyword)
+			}
+			before = append(before, s.Keyword+"["+(&parser.Clause{Items: s.Items}).String()+"]")
+		}
+		if got := strings.Join(before, " "); got != want[ci] {
+			t.Errorf("split %s:\n got %s\nwant %s", clause, got, want[ci])
+		}
+		for _, s := range subs {
+			_ = append(s.Items, parser.Item{Kind: parser.Word, Text: "CLOBBERED"})
+		}
+		for i, s := range subs {
+			if got := s.Keyword + "[" + (&parser.Clause{Items: s.Items}).String() + "]"; got != before[i] {
+				t.Errorf("%s: subclause %d changed %q -> %q", clause, i, before[i], got)
+			}
+		}
+		if got := c.String(); got != clause {
+			t.Errorf("clause changed %q -> %q", clause, got)
+		}
+	}
+}

@@ -12,13 +12,15 @@
 // counting baselines absorb ±0 jitter from map growth. Entries without
 // -benchmem fields (both sides zero) skip the allocation comparison.
 //
-// Benchmark timings only compare within one machine class, so a baseline
-// entry is compared only with a current run on the CPU it was recorded
-// on: the document's cpu, or the entry's own cpu field when a baseline
-// holds samples from more than one host. A guarded benchmark with no
-// entry from the current CPU reports no-baseline, and when the baseline
-// holds nothing from the current CPU at all the guard prints a warning
-// and exits 0 rather than failing on hardware drift.
+// Benchmark timings only compare within one machine class, so ns/op is
+// compared only with baseline entries recorded on the current run's CPU:
+// the document's cpu, or the entry's own cpu field when a baseline holds
+// samples from more than one host. Allocation counts do not depend on
+// the machine for a pinned Go version, so a guarded benchmark with no
+// baseline from the current CPU still has its allocs/op and B/op
+// compared, against the minimum baseline sample from any host; only its
+// ns/op goes unchecked. When the baseline holds nothing from the current
+// CPU at all the guard says so, and still fails on a memory regression.
 //
 // Usage:
 //
@@ -87,19 +89,24 @@ type sample struct {
 type result struct {
 	name      string
 	base, cur sample
-	delta     float64 // (cur-base)/base over ns/op
-	status    string  // "ok", "regression", "improvement", "no-baseline", ...
-	memNote   string  // non-empty when an allocation metric regressed
+	// timed reports whether base was recorded on the current CPU, so
+	// that ns/op was compared; otherwise base is the any-host minimum
+	// and only allocations were.
+	timed   bool
+	delta   float64 // (cur-base)/base over ns/op
+	status  string  // "ok", "regression", "improvement", "allocs-ok", "no-baseline", ...
+	memNote string  // non-empty when an allocation metric regressed
 }
 
 // minSample returns the per-metric minimum over every multi-iteration
-// entry named name recorded on cpu. Single-iteration entries come from the
-// -benchtime=1x smoke sweep, where warmup effects dominate; mixing them
-// into a min would bias the comparison, so they are skipped.
+// entry named name recorded on cpu, or on any host when cpu is "".
+// Single-iteration entries come from the -benchtime=1x smoke sweep,
+// where warmup effects dominate; mixing them into a min would bias the
+// comparison, so they are skipped.
 func minSample(d *Document, name, cpu string) sample {
 	var s sample
 	for _, b := range d.Benchmarks {
-		if b.Name != name || b.NsPerOp <= 0 || b.Iterations < 2 || d.host(&b) != cpu {
+		if b.Name != name || b.NsPerOp <= 0 || b.Iterations < 2 || cpu != "" && d.host(&b) != cpu {
 			continue
 		}
 		if !s.ok {
@@ -129,13 +136,31 @@ func memRegressed(base, cur, tol float64) bool {
 	return cur > base*(1+tol)+0.5
 }
 
-// compare evaluates the guarded benchmarks. A non-empty skip string
-// means the comparison is meaningless (different hardware) and the
-// caller should exit 0. failed reports a regression beyond tol, or a
-// guarded benchmark missing from the current run.
-func compare(base, cur *Document, names []string, tol float64) (results []result, failed bool, skip string) {
+// memCheck fails r when an allocation metric of cur exceeds base beyond
+// tol. It only judges when both sides actually measured memory
+// (-benchmem on both runs) and reports whether it did.
+func memCheck(r *result, tol float64) bool {
+	b, c := r.base, r.cur
+	if !b.memOK || !c.memOK {
+		return false
+	}
+	if memRegressed(b.allocs, c.allocs, tol) {
+		r.memNote = fmt.Sprintf("allocs/op %.1f -> %.1f", b.allocs, c.allocs)
+		r.status = "regression"
+	} else if memRegressed(b.bytes, c.bytes, tol) {
+		r.memNote = fmt.Sprintf("B/op %.0f -> %.0f", b.bytes, c.bytes)
+		r.status = "regression"
+	}
+	return true
+}
+
+// compare evaluates the guarded benchmarks. A non-empty note means the
+// baseline holds nothing from the current CPU, so no ns/op was compared.
+// failed reports a regression beyond tol, or a guarded benchmark missing
+// from the current run.
+func compare(base, cur *Document, names []string, tol float64) (results []result, failed bool, note string) {
 	if !base.recordedOn(cur.CPU) {
-		return nil, false, fmt.Sprintf("baseline CPU %q != current CPU %q; cross-machine timings do not compare", base.CPU, cur.CPU)
+		note = fmt.Sprintf("baseline CPU %q != current CPU %q; cross-machine timings do not compare, allocations still do", base.CPU, cur.CPU)
 	}
 	for _, name := range names {
 		c := minSample(cur, name, cur.CPU)
@@ -144,54 +169,50 @@ func compare(base, cur *Document, names []string, tol float64) (results []result
 			failed = true
 			continue
 		}
-		b := minSample(base, name, cur.CPU)
-		if !b.ok {
-			results = append(results, result{name: name, cur: c, status: "no-baseline"})
-			continue
-		}
-		r := result{name: name, base: b, cur: c, delta: (c.ns - b.ns) / b.ns}
-		switch {
-		case r.delta > tol:
-			r.status = "regression"
-			failed = true
-		case r.delta < -tol:
-			r.status = "improvement"
-		default:
-			r.status = "ok"
-		}
-		// Allocation guard: only when both sides actually measured memory
-		// (-benchmem on both runs). Timings drift with load; allocation
-		// counts should not.
-		if b.memOK && c.memOK {
-			if memRegressed(b.allocs, c.allocs, tol) {
-				r.memNote = fmt.Sprintf("allocs/op %.1f -> %.1f", b.allocs, c.allocs)
+		r := result{name: name, cur: c, base: minSample(base, name, cur.CPU)}
+		if r.base.ok {
+			r.timed = true
+			r.delta = (c.ns - r.base.ns) / r.base.ns
+			switch {
+			case r.delta > tol:
 				r.status = "regression"
-				failed = true
-			} else if memRegressed(b.bytes, c.bytes, tol) {
-				r.memNote = fmt.Sprintf("B/op %.0f -> %.0f", b.bytes, c.bytes)
-				r.status = "regression"
-				failed = true
+			case r.delta < -tol:
+				r.status = "improvement"
+			default:
+				r.status = "ok"
 			}
+			memCheck(&r, tol)
+		} else {
+			r.base = minSample(base, name, "")
+			r.status = "allocs-ok"
+			if !memCheck(&r, tol) {
+				r.base, r.status = sample{}, "no-baseline"
+			}
+		}
+		if r.status == "regression" {
+			failed = true
 		}
 		results = append(results, r)
 	}
-	return results, failed, ""
+	return results, failed, note
 }
 
 func render(results []result, tol float64) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-32s %14s %14s %8s %12s  %s\n", "benchmark", "baseline ns/op", "current ns/op", "delta", "allocs/op", "verdict")
 	for _, r := range results {
-		if !r.base.ok {
-			fmt.Fprintf(&sb, "%-32s %14s %14.0f %8s %12s  %s\n", r.name, "-", r.cur.ns, "-", "-", r.status)
-			continue
+		baseNs, delta, allocs := "-", "-", "-"
+		if r.timed {
+			baseNs, delta = fmt.Sprintf("%.0f", r.base.ns), fmt.Sprintf("%+.1f%%", 100*r.delta)
 		}
-		allocs := fmt.Sprintf("%.0f->%.0f", r.base.allocs, r.cur.allocs)
+		if r.base.ok {
+			allocs = fmt.Sprintf("%.0f->%.0f", r.base.allocs, r.cur.allocs)
+		}
 		verdict := r.status
 		if r.memNote != "" {
 			verdict += " (" + r.memNote + ")"
 		}
-		fmt.Fprintf(&sb, "%-32s %14.0f %14.0f %+7.1f%% %12s  %s\n", r.name, r.base.ns, r.cur.ns, 100*r.delta, allocs, verdict)
+		fmt.Fprintf(&sb, "%-32s %14s %14.0f %8s %12s  %s\n", r.name, baseNs, r.cur.ns, delta, allocs, verdict)
 	}
 	fmt.Fprintf(&sb, "tolerance: +-%.0f%% (ns/op, allocs/op, B/op)\n", 100*tol)
 	return sb.String()
@@ -214,7 +235,7 @@ func main() {
 	current := flag.String("current", "BENCH_guard.json", "fresh run to compare (bench2json format)")
 	tol := flag.Float64("tolerance", 0.20, "allowed fractional drift before failing")
 	bench := flag.String("bench",
-		"CheckParallel1,CheckParallel8,CheckWarmCache,ChangeContractCheck,CheckDomains10000,CheckParallel10k1,CheckParallel10k8,ConfigGen10k,MemAgentRoundTrip,MegaFleetInstall,CheckDomains100k,CheckDomains100kWarmDelta,MegaFleetInstall25k",
+		"CheckParallel1,CheckParallel8,CheckWarmCache,ChangeContractCheck,CheckDomains10000,CheckParallel10k1,CheckParallel10k8,ConfigGen10k,MemAgentRoundTrip,MegaFleetInstall,CompileDomains1000,CompilePaperSpec,CheckDomains100k,CheckDomains100kWarmDelta,MegaFleetInstall25k",
 		"comma-separated guarded benchmark names (bench2json names, no Benchmark prefix)")
 	flag.Parse()
 
@@ -232,10 +253,9 @@ func main() {
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
 	}
-	results, failed, skip := compare(base, cur, names, *tol)
-	if skip != "" {
-		fmt.Printf("benchguard: skipped: %s\n", skip)
-		return
+	results, failed, note := compare(base, cur, names, *tol)
+	if note != "" {
+		fmt.Printf("benchguard: %s\n", note)
 	}
 	fmt.Print(render(results, *tol))
 	if failed {

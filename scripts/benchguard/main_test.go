@@ -193,3 +193,28 @@ func TestCompareNoBaselineWarnsButPasses(t *testing.T) {
 		t.Fatalf("results = %+v failed=%v, want passing no-baseline", results, failed)
 	}
 }
+
+// A run on a CPU the baseline never saw still gates allocations: they
+// compare against the minimum over every host's samples, and only ns/op
+// goes unchecked.
+func TestCompareCrossCPUGatesAllocations(t *testing.T) {
+	base := doc("xeon",
+		Benchmark{Name: "CompileDomains1000", NsPerOp: 1000, AllocsPerOp: 120, BytesPerOp: 2000},
+		Benchmark{Name: "CompileDomains1000", NsPerOp: 800, AllocsPerOp: 100, BytesPerOp: 1000, CPU: "xeon-v2"})
+	names := []string{"CompileDomains1000"}
+
+	slower := doc("epyc", Benchmark{Name: "CompileDomains1000", NsPerOp: 9000, AllocsPerOp: 100, BytesPerOp: 1100})
+	results, failed, note := compare(base, slower, names, 0.20)
+	if failed || note == "" || results[0].status != "allocs-ok" || results[0].timed {
+		t.Fatalf("results = %+v failed=%v note=%q, want untimed pass with a note", results, failed, note)
+	}
+
+	bloated := doc("epyc", Benchmark{Name: "CompileDomains1000", NsPerOp: 900, AllocsPerOp: 100, BytesPerOp: 1500})
+	results, failed, _ = compare(base, bloated, names, 0.20)
+	if !failed || results[0].status != "regression" || results[0].memNote != "B/op 1000 -> 1500" {
+		t.Fatalf("results = %+v failed=%v, want a B/op regression against the any-host minimum", results, failed)
+	}
+	if out := render(results, 0.20); !strings.Contains(out, "B/op 1000 -> 1500") {
+		t.Errorf("render does not name the cross-CPU regression:\n%s", out)
+	}
+}
